@@ -2,11 +2,11 @@ package exp
 
 import (
 	"fmt"
+	"runtime"
 
 	"github.com/slimio/slimio/internal/imdb"
 	"github.com/slimio/slimio/internal/metrics"
 	"github.com/slimio/slimio/internal/sim"
-	"github.com/slimio/slimio/internal/telemetry"
 	"github.com/slimio/slimio/internal/vtrace"
 	"github.com/slimio/slimio/internal/workload"
 )
@@ -89,32 +89,14 @@ type CellResult struct {
 // RunCell builds the stack, runs Reps repetitions of the workload, and
 // collects the cell metrics.
 func RunCell(cfg CellConfig) (*CellResult, error) {
-	eng := sim.NewEngine()
 	label := cfg.TraceLabel
 	if label == "" {
 		label = fmt.Sprintf("%s/%s", cfg.Kind, cfg.Policy)
 	}
-	sc := cfg.Scale
-	costM0 := cellCostStart(sc.CellCosts)
-	var tracer *vtrace.Tracer
-	if sc.Trace != nil {
-		tracer = sc.Trace.Tracer(label)
-		sc.tracer = tracer
-	}
-	var tele *telemetry.Cell
-	if sc.Telemetry != nil {
-		tele = sc.Telemetry.Cell(label)
-		sc.tele = tele
-	}
-	// The flight recorder's last trigger: a panicking cell (including the
-	// engine's deadlock panic) dumps its trailing samples and spans before
-	// the panic propagates.
-	defer func() {
-		if r := recover(); r != nil {
-			tele.DumpFlight(fmt.Sprintf("panic: %v", r)) //nolint:errcheck // repanicking
-			panic(r)
-		}
-	}()
+	h := newCellHarness(cfg.Scale, label)
+	defer h.dumpOnPanic()
+	sc, tracer, tele := h.sc, h.sc.tracer, h.sc.tele
+	eng := sim.NewEngine()
 	st, err := BuildStack(eng, cfg.Kind, sc)
 	if err != nil {
 		return nil, err
@@ -127,11 +109,7 @@ func RunCell(cfg CellConfig) (*CellResult, error) {
 	}
 	db := imdb.New(eng, st.Backend, dbCfg, series)
 	db.Start()
-
-	AttachStackTelemetry(st, tele)
-	attachEngineTelemetry(db, tele)
-	tele.SetTracer(tracer)
-	tele.Start(eng)
+	h.start(st, db)
 
 	wl := cfg.Workload
 	wl.Ops = cfg.Scale.OpsPerRep
@@ -211,8 +189,55 @@ func RunCell(cfg CellConfig) (*CellResult, error) {
 	res.SetP999 = res.setHist.P999()
 	res.GetP999 = res.getHist.P999()
 	splitPhases(res)
-	cellCostEnd(sc.CellCosts, label, costM0)
+	h.done()
 	return res, nil
+}
+
+// cellHarness is the setup every cell driver shares: the cell's label, its
+// tracer and telemetry cell resolved from the scale's registries under that
+// label (stored on sc, so BuildStack threads them through every layer), and
+// the allocator-cost start mark.
+type cellHarness struct {
+	label  string
+	sc     Scale
+	costM0 runtime.MemStats
+}
+
+func newCellHarness(sc Scale, label string) *cellHarness {
+	h := &cellHarness{label: label, costM0: cellCostStart(sc.CellCosts)}
+	if sc.Trace != nil {
+		sc.tracer = sc.Trace.Tracer(label)
+	}
+	if sc.Telemetry != nil {
+		sc.tele = sc.Telemetry.Cell(label)
+	}
+	h.sc = sc
+	return h
+}
+
+// dumpOnPanic is the flight recorder's last trigger: deferred by a cell
+// driver, it dumps the cell's trailing samples and spans when the cell
+// panics (including the engine's deadlock panic), then repanics.
+func (h *cellHarness) dumpOnPanic() {
+	if r := recover(); r != nil {
+		h.sc.tele.DumpFlight(fmt.Sprintf("panic: %v", r)) //nolint:errcheck // repanicking
+		panic(r)
+	}
+}
+
+// start attaches the stack's and the engine's probes to the telemetry cell
+// and starts sampling on the stack's engine.
+func (h *cellHarness) start(st *Stack, db *imdb.Engine) {
+	tele := h.sc.tele
+	AttachStackTelemetry(st, tele)
+	attachEngineTelemetry(db, tele)
+	tele.SetTracer(h.sc.tracer)
+	tele.Start(st.Eng)
+}
+
+// done records the cell's allocator cost.
+func (h *cellHarness) done() {
+	cellCostEnd(h.sc.CellCosts, h.label, h.costM0)
 }
 
 // ReleaseHeavy tears down the cell's stack — the SlimIO rings and tail

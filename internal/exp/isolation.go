@@ -147,22 +147,11 @@ func isolationWorkload(idx, tenants int, noisy bool, sc Scale) (workload.Config,
 // every tenant's workload concurrently on the one engine, and roll up the
 // per-tenant attribution.
 func runIsolationCell(placement TenantPlacement, tenants int, noisy bool, sc Scale) (*IsolationCell, error) {
-	eng := sim.NewEngine()
 	label := "isolation/" + placement.String()
-	costM0 := cellCostStart(sc.CellCosts)
-	if sc.Trace != nil {
-		sc.tracer = sc.Trace.Tracer(label)
-	}
-	if sc.Telemetry != nil {
-		sc.tele = sc.Telemetry.Cell(label)
-	}
-	tele := sc.tele
-	defer func() {
-		if r := recover(); r != nil {
-			tele.DumpFlight(fmt.Sprintf("panic: %v", r)) //nolint:errcheck // repanicking
-			panic(r)
-		}
-	}()
+	h := newCellHarness(sc, label)
+	defer h.dumpOnPanic()
+	sc, tele := h.sc, h.sc.tele
+	eng := sim.NewEngine()
 
 	// Per-tenant sizing: each tenant owns 1/tenants of the device, so its
 	// snapshot slots and WAL-snapshot trigger shrink by the same factor.
@@ -268,6 +257,6 @@ func runIsolationCell(placement TenantPlacement, tenants int, noisy bool, sc Sca
 	}
 	ts.Pool().Close()
 	eng.Shutdown()
-	cellCostEnd(sc.CellCosts, label, costM0)
+	h.done()
 	return cell, nil
 }

@@ -225,3 +225,35 @@ func TestFlightRecorderFiresOnRunError(t *testing.T) {
 		t.Fatalf("clean run must not dump a flight record; dir has %v", names)
 	}
 }
+
+// TestFigure4TelemetryDumpValidates pins the timeline cells to the same
+// harness as table cells: a telemetered Figure 4 run registers one cell per
+// system, its dump validates, and its RPS series match an untelemetered run.
+func TestFigure4TelemetryDumpValidates(t *testing.T) {
+	window := 300 * sim.Millisecond
+	sc := TinyScale()
+	plainBase, plainSlim, err := RunFigure4(sc, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Telemetry = telemetry.NewRegistry(0)
+	base, slim, err := RunFigure4(sc, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := sc.Telemetry.ExportJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := telemetry.ValidateDump(buf.Bytes()); err != nil {
+		t.Fatalf("fig4 telemetry dump invalid: %v", err)
+	}
+	if got := sc.Telemetry.Labels(); len(got) != 2 {
+		t.Fatalf("fig4 telemetry cells = %v, want one per system", got)
+	}
+	for _, pair := range [][2]*TimelineResult{{plainBase, base}, {plainSlim, slim}} {
+		if a, b := pair[0].Series.CSV(), pair[1].Series.CSV(); a != b {
+			t.Errorf("%s: telemetry changed the RPS series", pair[0].Kind)
+		}
+	}
+}
