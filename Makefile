@@ -85,23 +85,28 @@ bench-compare:
 check-smoke:
 	go run ./cmd/slimio-check -backend both -ops 120 -budget 48 -out slimio-check-repro.json
 
-# Run a tiny traced cell end to end, export the Chrome trace-event JSON,
-# and validate it against the trace-event schema (used by CI, which also
-# uploads the trace as an artifact). Generated artifacts live in the
+# Run a tiny traced cell end to end and export the Chrome trace-event JSON
+# (used by CI, which also uploads the trace as an artifact). slimio-bench
+# validates the exported bytes against the trace-event schema before
+# writing them and exits 1 on failure. Generated artifacts live in the
 # gitignored out/ directory.
 trace-smoke:
 	mkdir -p out
 	go run ./cmd/slimio-bench -exp table3 -scale tiny -vtrace out/trace-smoke.json
-	go run ./cmd/slimio-inspect -validate out/trace-smoke.json
 
 # Run a tiny traced + telemetered table3 end to end, export the telemetry
 # dump (schema-validated by the exporter), and render it with slimio-top in
 # deterministic table mode (ParseDump re-validates on load). An empty render
-# fails the target. Used by CI as a blocking step; the telemetry directory
-# is uploaded as an artifact.
+# fails the target. A telemetered tiny fig4 run then checks the timeline
+# cells' dump and the Figure 4 RPS series CSVs. Used by CI as a blocking
+# step; the telemetry directories are uploaded as artifacts.
 top-smoke:
 	mkdir -p out
 	go run ./cmd/slimio-bench -exp table3 -scale tiny -vtrace out/top-smoke-trace.json -telemetry out/telemetry
 	go run ./cmd/slimio-top -dump out/telemetry/telemetry.json -mode table > out/top-smoke.txt
 	@test -s out/top-smoke.txt || { echo "top-smoke: empty slimio-top render"; exit 1; }
 	@grep -q "^cell " out/top-smoke.txt || { echo "top-smoke: no cell tables in render"; exit 1; }
+	go run ./cmd/slimio-bench -exp fig4 -scale tiny -telemetry out/fig4-telemetry
+	@for kind in baseline-f2fs slimio-noFDP; do \
+		test -s out/fig4-telemetry/fig4-$$kind.csv || { echo "top-smoke: missing fig4-$$kind.csv"; exit 1; }; \
+	done
