@@ -1,7 +1,7 @@
 // Package bufpool provides the reference-counted, page-aligned buffer pool
 // behind the zero-copy data plane: payload bytes are encoded once into a
 // pooled segment and every lower layer (wal chain → uring submission →
-// ssd/fdp/ftl → nand program) passes a reference to the same backing memory
+// ssd/fdp → nand program) passes a reference to the same backing memory
 // instead of copying it.
 //
 // # Ownership contract

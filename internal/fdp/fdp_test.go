@@ -292,16 +292,27 @@ func TestReadUnmappedFails(t *testing.T) {
 	}
 }
 
-// Property: integrity under random multi-PID traffic with TRIMs.
-func TestFDPIntegrityProperty(t *testing.T) {
-	prop := func(seed int64) bool {
+// pageDevice is the page-level surface the integrity property drives.
+type pageDevice interface {
+	Write(now sim.Time, lpa int64, data bufpool.Ref, pid uint32) (sim.Time, error)
+	Read(now sim.Time, lpa int64) ([]byte, sim.Time, error)
+	Deallocate(lpa, count int64) error
+	Capacity() int64
+}
+
+// integrityProp is the property that after any random sequence of writes
+// (over three placement hints) and TRIMs that the device accepts, every
+// mapped LPA reads back its latest written value — through as many reclaims
+// as the traffic forces.
+func integrityProp(build func(arr *nand.Array) (pageDevice, error)) func(seed int64) bool {
+	return func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		geo := nand.Geometry{Channels: 1, DiesPerChannel: 2, BlocksPerDie: 12, PagesPerBlock: 4, PageSize: 32}
 		arr, err := nand.New(geo, nand.DefaultLatencies())
 		if err != nil {
 			return false
 		}
-		f, err := New(arr, Config{})
+		f, err := build(arr)
 		if err != nil {
 			return false
 		}
@@ -338,6 +349,20 @@ func TestFDPIntegrityProperty(t *testing.T) {
 		}
 		return true
 	}
+}
+
+// Property: integrity under random multi-PID traffic with TRIMs.
+func TestFDPIntegrityProperty(t *testing.T) {
+	prop := integrityProp(func(arr *nand.Array) (pageDevice, error) { return New(arr, Config{}) })
+	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: the same integrity on the conventional device, where every
+// placement hint lands in its single stream and lifetimes mix in one RU.
+func TestConventionalIntegrityProperty(t *testing.T) {
+	prop := integrityProp(func(arr *nand.Array) (pageDevice, error) { return NewConventional(arr, Config{}) })
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}

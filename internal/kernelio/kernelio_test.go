@@ -7,11 +7,21 @@ import (
 	"testing"
 
 	"github.com/slimio/slimio/internal/bufpool"
-	"github.com/slimio/slimio/internal/ftl"
+	"github.com/slimio/slimio/internal/fdp"
 	"github.com/slimio/slimio/internal/nand"
 	"github.com/slimio/slimio/internal/sim"
 	"github.com/slimio/slimio/internal/ssd"
 )
+
+// newConv builds the conventional single-stream device the baseline runs on.
+func newConv(t *testing.T, arr *nand.Array) *fdp.Conventional {
+	t.Helper()
+	f, err := fdp.NewConventional(arr, fdp.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
 
 // rig bundles a fresh engine + device + filesystem for tests.
 type rig struct {
@@ -28,7 +38,7 @@ func newRig(t *testing.T, prof Profile, mode SchedMode) *rig {
 		t.Fatal(err)
 	}
 	eng := sim.NewEngine()
-	dev := ssd.New(ftl.New(arr, ftl.Config{}), ssd.Config{})
+	dev := ssd.New(newConv(t, arr), ssd.Config{})
 	return &rig{eng: eng, dev: dev, fs: NewFilesystem(eng, dev, prof, mode, DefaultCosts())}
 }
 
@@ -297,7 +307,7 @@ func TestDirtyThrottlingStallsFastWriter(t *testing.T) {
 	geo := nand.Geometry{Channels: 2, DiesPerChannel: 2, BlocksPerDie: 32, PagesPerBlock: 16, PageSize: 512}
 	arr, _ := nand.New(geo, nand.DefaultLatencies())
 	eng := sim.NewEngine()
-	dev := ssd.New(ftl.New(arr, ftl.Config{}), ssd.Config{})
+	dev := ssd.New(newConv(t, arr), ssd.Config{})
 	r := &rig{eng: eng, dev: dev, fs: NewFilesystem(eng, dev, F2FS(), SchedNone, costs)}
 	page := bytes.Repeat([]byte("t"), 512)
 	r.run(t, func(env *sim.Env) {
@@ -326,7 +336,7 @@ func TestSyncPrioritySchedulerFavorsFsync(t *testing.T) {
 		geo := nand.Geometry{Channels: 2, DiesPerChannel: 2, BlocksPerDie: 32, PagesPerBlock: 16, PageSize: 512}
 		arr, _ := nand.New(geo, nand.DefaultLatencies())
 		eng := sim.NewEngine()
-		dev := ssd.New(ftl.New(arr, ftl.Config{}), ssd.Config{})
+		dev := ssd.New(newConv(t, arr), ssd.Config{})
 		sched := NewScheduler(eng, dev, mode, DefaultCosts())
 		var lat sim.Duration
 		eng.Spawn("submitter", func(env *sim.Env) {
@@ -525,7 +535,7 @@ func TestENOSPC(t *testing.T) {
 	geo := nand.Geometry{Channels: 1, DiesPerChannel: 1, BlocksPerDie: 8, PagesPerBlock: 16, PageSize: 512}
 	arr, _ := nand.New(geo, nand.DefaultLatencies())
 	eng := sim.NewEngine()
-	dev := ssd.New(ftl.New(arr, ftl.Config{}), ssd.Config{})
+	dev := ssd.New(newConv(t, arr), ssd.Config{})
 	fs := NewFilesystem(eng, dev, F2FS(), SchedNone, DefaultCosts())
 	var sawErr bool
 	eng.Spawn("filler", func(env *sim.Env) {

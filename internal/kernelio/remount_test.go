@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"github.com/slimio/slimio/internal/ftl"
 	"github.com/slimio/slimio/internal/nand"
 	"github.com/slimio/slimio/internal/sim"
 	"github.com/slimio/slimio/internal/ssd"
@@ -19,7 +18,7 @@ func newRemountRig(t *testing.T) (*sim.Engine, *ssd.Device, *Filesystem) {
 		t.Fatal(err)
 	}
 	eng := sim.NewEngine()
-	dev := ssd.New(ftl.New(arr, ftl.Config{}), ssd.Config{})
+	dev := ssd.New(newConv(t, arr), ssd.Config{})
 	return eng, dev, NewFilesystem(eng, dev, F2FS(), SchedNone, DefaultCosts())
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/slimio/slimio/internal/fault"
-	"github.com/slimio/slimio/internal/ftl"
 	"github.com/slimio/slimio/internal/nand"
 	"github.com/slimio/slimio/internal/sim"
 )
@@ -32,7 +31,7 @@ func newRetryDevice(t *testing.T) (*nand.Array, *Device) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return arr, New(ftl.New(arr, ftl.Config{}), Config{})
+	return arr, New(newConv(t, arr), Config{})
 }
 
 // Two transient read failures must cost exactly two retries, succeed on the

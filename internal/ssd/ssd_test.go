@@ -7,19 +7,28 @@ import (
 
 	"github.com/slimio/slimio/internal/bufpool"
 	"github.com/slimio/slimio/internal/fdp"
-	"github.com/slimio/slimio/internal/ftl"
 	"github.com/slimio/slimio/internal/nand"
 	"github.com/slimio/slimio/internal/sim"
 )
 
 func newConvDevice(t *testing.T) *Device {
 	t.Helper()
-	geo := nand.Geometry{Channels: 2, DiesPerChannel: 2, BlocksPerDie: 8, PagesPerBlock: 8, PageSize: 128}
+	geo := nand.Geometry{Channels: 2, DiesPerChannel: 2, BlocksPerDie: 16, PagesPerBlock: 8, PageSize: 128}
 	arr, err := nand.New(geo, nand.DefaultLatencies())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(ftl.New(arr, ftl.Config{}), Config{})
+	return New(newConv(t, arr), Config{})
+}
+
+// newConv builds the conventional single-stream device the baseline runs on.
+func newConv(t *testing.T, arr *nand.Array) *fdp.Conventional {
+	t.Helper()
+	f, err := fdp.NewConventional(arr, fdp.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
 }
 
 func newFDPDevice(t *testing.T) *Device {
@@ -36,10 +45,11 @@ func newFDPDevice(t *testing.T) *Device {
 	return New(f, Config{})
 }
 
-// Compile-time interface checks for both FTLs.
+// Compile-time interface checks for every FTL.
 var (
-	_ FTL = (*ftl.FTL)(nil)
 	_ FTL = (*fdp.FTL)(nil)
+	_ FTL = (*fdp.Conventional)(nil)
+	_ FTL = (*Namespace)(nil)
 )
 
 func pages(n, size int, tag byte) [][]byte {

@@ -33,13 +33,12 @@ func (c Class) String() string {
 
 // classify maps a (layer, name) stage to its class by naming convention:
 // stages that represent waiting carry "queue", "wait" or "throttle" in their
-// name; GC/reclaim trees are named after the collector that runs them.
+// name; the FTL's reclaim trees (its garbage collection) are GC.
 func classify(layer, name string) Class {
 	switch {
 	case strings.Contains(name, "queue"), strings.HasSuffix(name, ".wait"), strings.Contains(name, "throttle"):
 		return Queue
-	case layer == "ftl" && strings.Contains(name, "gc"),
-		layer == "fdp" && strings.Contains(name, "reclaim"):
+	case layer == "fdp" && strings.Contains(name, "reclaim"):
 		return GC
 	default:
 		return Service
